@@ -3,6 +3,7 @@ package setagreement_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	sa "setagreement"
@@ -10,16 +11,25 @@ import (
 
 // Allocation ceilings for a solo (uncontended) proposal on a repeated
 // object, enforced by the guard tests below so hot-path regressions fail CI
-// rather than silently landing. Measured: 7 allocs for a blocking Propose on
+// rather than silently landing. Measured: 6 allocs for a blocking Propose on
 // both backends (the lock-free backend pays one version array per Update,
-// the mutex backend one copy per Scan; both pay one boxed tuple per Propose
-// and one history append per decision), 12 for ProposeAsync (adding the
-// future, the proposal wrapper and engine bookkeeping). The ceilings leave a
-// little slack over those measurements; raising them requires justifying the
-// regression, not just re-measuring.
+// the mutex backend one copy per Scan; both pay one boxed tuple per
+// Propose; the history append per decision is amortized into the process's
+// own buffer, which grows only now and then — it was a 7th allocation
+// while every decision copied the whole history), 11 for ProposeAsync
+// (adding the future, the proposal wrapper and engine bookkeeping). The
+// ceilings leave a little slack over those measurements; raising them
+// requires justifying the regression, not just re-measuring.
 const (
-	soloProposeAllocCeiling      = 10
-	soloProposeAsyncAllocCeiling = 16
+	soloProposeAllocCeiling      = 9
+	soloProposeAsyncAllocCeiling = 15
+
+	// Bytes a solo Propose may allocate at instance ~20k beyond what it
+	// allocates at instance ~100. Measured: 485 against 502 B/op, the gap
+	// being where the history buffer's occasional growth lands in each
+	// window (at most one ~200 KB growth, ~50 B/op, in the deep window); a
+	// copied history would add 8 bytes per earlier instance, 160 KB here.
+	depthFlatSlackBytes = 128
 
 	// Per-proposal ceiling for a full SubmitAll round (submit + decide +
 	// resolve) over 64 solo arena handles. Measured: 7.25 — the slab
@@ -124,5 +134,59 @@ func TestSubmitBatchAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, round) / size; n > batchRoundAllocCeiling {
 		t.Errorf("batch round allocates %.2f/proposal, ceiling %d", n, batchRoundAllocCeiling)
+	}
+}
+
+// soloProposeBytes drives a fresh repeated object solo to each depth in
+// turn and returns the mean bytes one Propose allocates over a window of
+// instances starting there. Bytes come from MemStats.TotalAlloc: a cost
+// that grows with the object's depth shows in bytes long before it shows
+// in the allocation count.
+func soloProposeBytes(t *testing.T, window int, depths ...int) []float64 {
+	t.Helper()
+	ctx := context.Background()
+	r, err := sa.NewRepeated[int](4, 1)
+	if err != nil {
+		t.Fatalf("NewRepeated: %v", err)
+	}
+	h, err := r.Proc(0)
+	if err != nil {
+		t.Fatalf("Proc: %v", err)
+	}
+	decided := 0
+	propose := func() {
+		if _, err := h.Propose(ctx, decided); err != nil {
+			t.Fatalf("propose: %v", err)
+		}
+		decided++
+	}
+	var out []float64
+	var before, after runtime.MemStats
+	for _, d := range depths {
+		for decided < d {
+			propose()
+		}
+		runtime.ReadMemStats(&before)
+		for i := 0; i < window; i++ {
+			propose()
+		}
+		runtime.ReadMemStats(&after)
+		out = append(out, float64(after.TotalAlloc-before.TotalAlloc)/float64(window))
+	}
+	return out
+}
+
+// TestProposeSoloBytesDepthFlat guards repeated agreement against cost that
+// grows with the number of instances an object has decided: a solo Propose
+// at instance ~20k must allocate no more bytes than one at instance ~100,
+// up to a small constant.
+func TestProposeSoloBytesDepthFlat(t *testing.T) {
+	const window = 4096
+	b := soloProposeBytes(t, window, 100, 20_000)
+	shallow, deep := b[0], b[1]
+	t.Logf("bytes/op: %.0f at instance 100, %.0f at instance 20000", shallow, deep)
+	if deep > shallow+depthFlatSlackBytes {
+		t.Errorf("solo Propose allocates %.0f B/op at instance 20000 against %.0f at instance 100; slack %d",
+			deep, shallow, depthFlatSlackBytes)
 	}
 }

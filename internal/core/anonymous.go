@@ -17,7 +17,7 @@ type ATuple struct {
 
 // String renders the tuple as "(v,t,his)".
 func (t ATuple) String() string {
-	return fmt.Sprintf("(%d,t%d,%q)", t.Val, t.T, string(t.His))
+	return fmt.Sprintf("(%d,t%d,%q)", t.Val, t.T, t.His.String())
 }
 
 // AnonRepeated is the anonymous m-obstruction-free repeated k-set agreement
@@ -125,7 +125,7 @@ type anonProc struct {
 	alg *AnonRepeated
 	i   int         // persistent component index
 	t   int         // persistent instance counter
-	his History     // persistent output history
+	his historyBuf  // persistent output history
 	att anonAttempt // reused per Propose; no allocation per call
 }
 
@@ -145,8 +145,8 @@ func (p *anonProc) Propose(mem shmem.Mem, v int) int {
 func (p *anonProc) Begin(v int) Attempt {
 	p.t++
 	p.att = anonAttempt{p: p, t: p.t, pref: v}
-	if p.his.Len() >= p.t {
-		p.att.out, p.att.done = p.his.At(p.t), true
+	if his := p.his.view(); his.Len() >= p.t {
+		p.att.out, p.att.done = his.At(p.t), true
 	}
 	return &p.att
 }
@@ -168,7 +168,7 @@ func (a *anonAttempt) Step(mem shmem.Mem) (int, bool) {
 	alg, t := p.alg, a.t
 	if alg.withH && !a.wroteH {
 		// line 9: write history into H.
-		mem.Write(regH, p.his)
+		mem.Write(regH, p.his.view())
 		a.wroteH = true
 	}
 	if a.done {
@@ -188,7 +188,7 @@ func (a *anonAttempt) Step(mem shmem.Mem) (int, bool) {
 	}
 
 	// line 18: update ith component with (pref, t, history).
-	mem.Update(0, p.i, ATuple{Val: a.pref, T: t, His: p.his})
+	mem.Update(0, p.i, ATuple{Val: a.pref, T: t, His: p.his.view()})
 	// line 19: s ← scan of A. Over a non-blocking snapshot substrate a
 	// scan can starve; thread 2's H poll is interleaved between bounded
 	// retry rounds, which is a legal schedule of the pseudocode's two
@@ -203,8 +203,8 @@ func (a *anonAttempt) Step(mem shmem.Mem) (int, bool) {
 	// lines 20-22: adopt the history of any process past t.
 	for _, x := range s {
 		if tu, ok := x.(ATuple); ok && tu.T > t {
-			p.his = tu.His
-			a.out, a.done = p.his.At(t), true
+			p.his.adopt(tu.His)
+			a.out, a.done = tu.His.At(t), true
 			return a.out, true
 		}
 	}
@@ -213,7 +213,7 @@ func (a *anonAttempt) Step(mem shmem.Mem) (int, bool) {
 	// distinct entries and every entry is a t-tuple.
 	if allTTuples(s, t) && distinctCount(s) <= m {
 		w := mostFrequentValue(s)
-		p.his = p.his.Append(w)
+		p.his.extend(w)
 		a.out, a.done = w, true
 		return w, true
 	}
@@ -235,7 +235,7 @@ func (a *anonAttempt) Step(mem shmem.Mem) (int, bool) {
 func (p *anonProc) pollH(mem shmem.Mem, t int) (int, bool) {
 	if h, ok := mem.Read(regH).(History); ok && h.Len() >= t {
 		w := h.At(t)
-		p.his = p.his.Append(w)
+		p.his.extend(w)
 		return w, true
 	}
 	return 0, false

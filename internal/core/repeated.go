@@ -18,7 +18,7 @@ type RTuple struct {
 
 // String renders the tuple as "(v,pid,t,his)".
 func (t RTuple) String() string {
-	return fmt.Sprintf("(%d,p%d,t%d,%q)", t.Val, t.ID, t.T, string(t.His))
+	return fmt.Sprintf("(%d,p%d,t%d,%q)", t.Val, t.ID, t.T, t.His.String())
 }
 
 // Repeated is the m-obstruction-free repeated k-set agreement algorithm of
@@ -89,7 +89,7 @@ type repeatedProc struct {
 	id  int
 	i   int                    // persistent component index
 	t   int                    // persistent instance counter
-	his History                // persistent output history
+	his historyBuf             // persistent output history
 	att repeatedAttempt        // reused per Propose; no allocation per call
 	isT func(shmem.Value) bool // is-a-t-tuple for the current attempt
 }
@@ -107,11 +107,12 @@ func (p *repeatedProc) Propose(mem shmem.Mem, v int) int {
 func (p *repeatedProc) Begin(v int) Attempt {
 	p.t++
 	t := p.t
+	his := p.his.view()
 	p.att = repeatedAttempt{p: p, t: t, pref: v,
-		mine: RTuple{Val: v, ID: p.id, T: t, His: p.his},
+		mine: RTuple{Val: v, ID: p.id, T: t, His: his},
 		isT:  p.isT}
-	if p.his.Len() >= p.t {
-		p.att.out, p.att.done = p.his.At(p.t), true
+	if his.Len() >= p.t {
+		p.att.out, p.att.done = his.At(p.t), true
 	}
 	return &p.att
 }
@@ -151,8 +152,8 @@ func (a *repeatedAttempt) Step(mem shmem.Mem) (int, bool) {
 	// past instance t.
 	for _, x := range s {
 		if tu, ok := x.(RTuple); ok && tu.T > t {
-			p.his = tu.His
-			a.out, a.done = p.his.At(t), true
+			p.his.adopt(tu.His)
+			a.out, a.done = tu.His.At(t), true
 			return a.out, true
 		}
 	}
@@ -163,7 +164,7 @@ func (a *repeatedAttempt) Step(mem shmem.Mem) (int, bool) {
 	if p.canDecide(s, t, m) {
 		if j1, ok := minDupIndex(s); ok {
 			w := s[j1].(RTuple).Val
-			p.his = p.his.Append(w)
+			p.his.extend(w)
 			a.out, a.done = w, true
 			return w, true
 		}
@@ -180,7 +181,7 @@ func (a *repeatedAttempt) Step(mem shmem.Mem) (int, bool) {
 	if allOthersForeign(s, p.i, a.mine) {
 		if j1, ok := minDupIndexWhere(s, a.isT); ok && s[j1].(RTuple).Val != a.pref {
 			a.pref = s[j1].(RTuple).Val
-			a.mine = RTuple{Val: a.pref, ID: p.id, T: t, His: p.his}
+			a.mine = RTuple{Val: a.pref, ID: p.id, T: t, His: p.his.view()}
 			adopted = true
 		}
 	}

@@ -224,7 +224,14 @@ type Engine struct {
 	closed bool
 
 	inFlight atomic.Int64
-	wg       sync.WaitGroup
+	// armed counts the tasks whose wake sources are all armed: raised
+	// just before the parker's final stParking→stParked CAS (dropped
+	// again if that CAS fails), lowered by whoever moves a task out of
+	// stParked. The parked set above also holds tasks still arming,
+	// which Close needs but the Parked gauge must not report.
+	armed atomic.Int64
+
+	wg sync.WaitGroup
 
 	// leadFree elects the combining leader among notify-woken proposals:
 	// the worker that claims it (CAS true→false) advances its proposal
@@ -333,12 +340,9 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) InFlight() int64 { return e.inFlight.Load() }
 
 // Parked returns the number of proposals currently parked (waiting on a
-// wake source rather than holding a worker).
-func (e *Engine) Parked() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return int64(len(e.parked))
-}
+// wake source rather than holding a worker). A proposal counts once all
+// its wake sources are armed, not while its park is still arming them.
+func (e *Engine) Parked() int64 { return e.armed.Load() }
 
 // Submit hands the engine one proposal. On a closed engine the proposal is
 // aborted with ErrClosed before Submit returns.
@@ -605,6 +609,7 @@ func (e *Engine) park(t *task, park Park) {
 	if park.Ctx != nil {
 		t.stopCtx = context.AfterFunc(park.Ctx, func() { e.wake(t, WakeCancel, gen) })
 	}
+	e.armed.Add(1)
 	if e.parkHook != nil {
 		e.parkHook(ParkArmed)
 	}
@@ -614,6 +619,7 @@ func (e *Engine) park(t *task, park Park) {
 		}
 		return
 	}
+	e.armed.Add(-1)
 	if e.parkHook != nil {
 		e.parkHook(ParkAbandoned)
 	}
@@ -650,6 +656,7 @@ func (e *Engine) wake(t *task, reason WakeReason, gen uint64) {
 		switch s & stMask {
 		case stParked:
 			if t.st.CompareAndSwap(s, next) {
+				e.armed.Add(-1)
 				e.enqueue(t)
 				return
 			}
@@ -728,6 +735,7 @@ func (e *Engine) reclaim(t *task) {
 		switch s & stMask {
 		case stParked:
 			if t.st.CompareAndSwap(s, stDead) {
+				e.armed.Add(-1)
 				e.stopSources(t)
 				t.p.Abort(ErrClosed)
 				e.inFlight.Add(-1)

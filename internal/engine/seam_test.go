@@ -15,15 +15,25 @@ import (
 // sources are armed but before the final CAS, and after the park committed —
 // and asserts the proposal resumes with a notify wake and no leaked waiter
 // registration in every case. The first window is the lost-wakeup race the
-// notifier's version re-check closes; this pins it deterministically.
+// notifier's version re-check closes; this pins it deterministically. At
+// each boundary it also samples the Parked gauge, which counts a proposal
+// only while all its wake sources are armed.
 func TestParkPublishAtEveryBoundary(t *testing.T) {
+	type sample struct {
+		stage  engine.ParkStage
+		parked int64 // e.Parked() at the boundary
+	}
+	registered := sample{engine.ParkRegistered, 0}
+	armed := sample{engine.ParkArmed, 1}
+	abandoned := sample{engine.ParkAbandoned, 0}
+	committed := sample{engine.ParkCommitted, 1}
 	cases := []struct {
 		stage engine.ParkStage
-		want  []engine.ParkStage // full stage trace of the single park
+		want  []sample // full stage trace of the single park
 	}{
-		{engine.ParkRegistered, []engine.ParkStage{engine.ParkRegistered, engine.ParkArmed, engine.ParkAbandoned}},
-		{engine.ParkArmed, []engine.ParkStage{engine.ParkRegistered, engine.ParkArmed, engine.ParkAbandoned}},
-		{engine.ParkCommitted, []engine.ParkStage{engine.ParkRegistered, engine.ParkArmed, engine.ParkCommitted}},
+		{engine.ParkRegistered, []sample{registered, armed, abandoned}},
+		{engine.ParkArmed, []sample{registered, armed, abandoned}},
+		{engine.ParkCommitted, []sample{registered, armed, committed}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -32,9 +42,9 @@ func TestParkPublishAtEveryBoundary(t *testing.T) {
 			defer e.Close()
 			var b shmem.Broadcast
 			var once sync.Once
-			stages := make(chan engine.ParkStage, 8)
+			stages := make(chan sample, 8)
 			e.SetParkHook(func(s engine.ParkStage) {
-				stages <- s
+				stages <- sample{s, e.Parked()}
 				if s == tc.stage {
 					once.Do(func() { b.Publish() })
 				}
@@ -57,14 +67,15 @@ func TestParkPublishAtEveryBoundary(t *testing.T) {
 				t.Fatalf("publish at stage %v never resumed the parked proposal (lost wakeup)", tc.stage)
 			}
 			deadline := time.Now().Add(10 * time.Second)
-			for e.InFlight() != 0 || b.Waiters() != 0 {
+			for e.InFlight() != 0 || b.Waiters() != 0 || e.Parked() != 0 {
 				if time.Now().After(deadline) {
-					t.Fatalf("after resume: InFlight=%d Waiters=%d, want 0/0", e.InFlight(), b.Waiters())
+					t.Fatalf("after resume: InFlight=%d Waiters=%d Parked=%d, want 0/0/0",
+						e.InFlight(), b.Waiters(), e.Parked())
 				}
 				runtime.Gosched()
 			}
 
-			var got []engine.ParkStage
+			var got []sample
 			for len(got) < len(tc.want) {
 				select {
 				case s := <-stages:
